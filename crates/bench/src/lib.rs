@@ -18,7 +18,7 @@
 //! committed golden CSVs (`tests/golden_repro.rs`).
 //!
 //! Engine-driven trial sweeps go through [`nc_engine::sim::TrialSet`]
-//! (which owns scratch pooling, lane pipelining, and worker fan-out);
+//! (which owns scratch pooling and worker fan-out);
 //! the [`par_trials`] / [`par_trial_chunks`] helpers here cover the
 //! non-engine sweeps (renewal races, message-passing runs). In both,
 //! **parallelism is per-call state**: every sweep takes its own worker
@@ -39,7 +39,7 @@ pub mod table;
 
 pub use table::Table;
 
-pub use nc_engine::sim::{par_spans, resolve_threads, PIPELINE_LANES};
+pub use nc_engine::sim::{par_spans, resolve_threads};
 
 /// Runs `trials` independent trial computations across `threads`
 /// workers (0 = all cores), returning the results **in trial order**.
@@ -114,17 +114,36 @@ pub fn flag(key: &str) -> bool {
     std::env::args().any(|a| a == want)
 }
 
-/// Parses `--key value` style arguments; returns the value for `key`.
+/// Parses the value of the first `--key value` pair in `args`:
+/// `Ok(None)` when `--key` is absent, and an error naming the flag when
+/// its value is missing or does not parse as `T`.
+fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, String> {
+    let want = format!("--{key}");
+    let Some(i) = args.iter().position(|a| *a == want) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{want}: cannot parse {v:?}")),
+        None => Err(format!("{want}: missing value")),
+    }
+}
+
+/// The value of `--key value` on the command line, or `default` when
+/// the flag is absent. A present flag whose value is missing or does not
+/// parse prints the flag and exits with status 2 instead of silently
+/// running with the default.
 pub fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == format!("--{key}") {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return v;
-            }
+    match parse_arg(&args, key) {
+        Ok(v) => v.unwrap_or(default),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
         }
     }
-    default
 }
 
 #[cfg(test)]
@@ -156,6 +175,26 @@ mod tests {
     #[test]
     fn arg_returns_default_without_flag() {
         assert_eq!(arg("definitely-not-passed", 42u64), 42);
+    }
+
+    #[test]
+    fn parse_arg_reads_values_and_rejects_bad_ones() {
+        let args: Vec<String> = ["bin", "--threads", "4", "--min-speedup", "1,2", "--out"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(parse_arg::<usize>(&args, "threads"), Ok(Some(4)));
+        assert_eq!(parse_arg::<usize>(&args, "trials"), Ok(None));
+        assert_eq!(
+            parse_arg::<f64>(&args, "min-speedup"),
+            Err("--min-speedup: cannot parse \"1,2\"".to_string())
+        );
+        assert_eq!(
+            parse_arg::<String>(&args, "out"),
+            Err("--out: missing value".to_string())
+        );
+        // A value of the wrong type is an error, not the default.
+        assert!(parse_arg::<u64>(&args, "min-speedup").is_err());
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! safety lemmas checkable via [`report::RunReport::check_safety`].
 //!
 //! Beneath the builder sit the public drive internals
-//! ([`noisy::drive_noisy`], [`noisy::drive_noisy_batch`],
-//! [`adversarial::drive_adversarial`], [`hybrid::drive_hybrid`]);
+//! ([`noisy::drive_noisy`], [`adversarial::drive_adversarial`],
+//! [`hybrid::drive_hybrid`]);
 //! `tests/sim_equivalence.rs` pins the builder bit-for-bit against
 //! them. (The pre-builder `run_*` wrappers, deprecated since the `Sim`
 //! redesign, are gone — see the migration table in

@@ -74,8 +74,6 @@ pub struct EventTree {
     /// of the one below; the last level is a single root.
     levels: Vec<Vec<u128>>,
     len: usize,
-    /// Reusable dirty-index buffer for [`EventTree::set_batch`].
-    scratch: Vec<usize>,
 }
 
 /// Balanced 16-wide `min` reduction of one block: latency depth 4 (vs 15
@@ -163,51 +161,6 @@ impl EventTree {
             self.len += 1;
         }
         self.update(pid, ev.key());
-    }
-
-    /// Inserts or reschedules a whole batch of events, equivalent to
-    /// [`EventTree::set`] on each in order (last write per pid wins).
-    ///
-    /// Sharing is the point: the batched engine core scatters K
-    /// successor events at once, and events close in time land in
-    /// neighbouring leaf blocks, so each dirty ancestor block is
-    /// recomputed **once per level** instead of once per event — for a
-    /// K-event batch inside one 16-leaf block that is `depth` reductions
-    /// instead of `K · depth`.
-    pub fn set_batch(&mut self, evs: &[Event]) {
-        match evs {
-            [] => return,
-            [ev] => {
-                self.set(*ev);
-                return;
-            }
-            _ => {}
-        }
-        let mut dirty = std::mem::take(&mut self.scratch);
-        dirty.clear();
-        for ev in evs {
-            let pid = ev.pid() as usize;
-            debug_assert!(pid < self.levels[0].len(), "pid {pid} out of range");
-            if self.levels[0][pid] == EMPTY {
-                self.len += 1;
-            }
-            self.levels[0][pid] = ev.key();
-            dirty.push(pid);
-        }
-        for l in 0..self.levels.len() - 1 {
-            for idx in dirty.iter_mut() {
-                *idx >>= ARITY_LOG2;
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            let (lo, hi) = self.levels.split_at_mut(l + 1);
-            let level = &lo[l];
-            for &parent in &dirty {
-                let block = parent << ARITY_LOG2;
-                hi[0][parent] = block_min(&level[block..block + ARITY]);
-            }
-        }
-        self.scratch = dirty;
     }
 
     /// Removes the event of `pid`, if present.
@@ -374,42 +327,6 @@ mod tests {
             let heap_rest: Vec<Event> = std::iter::from_fn(|| heap.pop()).collect();
             let tree_rest: Vec<Event> = std::iter::from_fn(|| tree.pop()).collect();
             prop_assert_eq!(heap_rest, tree_rest);
-        }
-
-        /// set_batch is exactly a loop of set, for any batch shape
-        /// (singletons, duplicates, cross-block spreads, reschedules).
-        #[test]
-        fn set_batch_matches_set_loop(
-            n in 1usize..300,
-            batches in proptest::collection::vec(
-                proptest::collection::vec((0usize..300, 0.0f64..100.0), 0..24),
-                1..12,
-            ),
-        ) {
-            let mut batched = EventTree::new();
-            batched.reset(n);
-            let mut looped = EventTree::new();
-            looped.reset(n);
-            let mut seq = 0u64;
-            for batch in &batches {
-                let evs: Vec<Event> = batch
-                    .iter()
-                    .map(|&(pid, t)| {
-                        let e = Event::new(t, seq, (pid % n) as u32);
-                        seq += 1;
-                        e
-                    })
-                    .collect();
-                for &e in &evs {
-                    looped.set(e);
-                }
-                batched.set_batch(&evs);
-                prop_assert_eq!(batched.len(), looped.len());
-                prop_assert_eq!(batched.peek(), looped.peek());
-            }
-            let a: Vec<Event> = std::iter::from_fn(|| batched.pop()).collect();
-            let b: Vec<Event> = std::iter::from_fn(|| looped.pop()).collect();
-            prop_assert_eq!(a, b);
         }
 
         /// Arbitrary set/remove traffic keeps the root exact.
