@@ -1,5 +1,6 @@
 //! Microbenchmark of the event-queue primitives: BinaryHeap pop+push
-//! churn vs. the indexed peek-and-replace sift-down.
+//! churn vs. the 4-ary heap's peek-and-replace sift-down vs. the
+//! winner tree's fixed-path re-key (the engine's default queue).
 //!
 //! This isolates optimization (1) of the engine rework from the
 //! protocol/memory costs measured by `figure1_points`. One iteration =

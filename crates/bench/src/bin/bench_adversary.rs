@@ -20,7 +20,7 @@
 use std::io::Write as _;
 
 use nc_adversary::{StrategyFamily, Tournament};
-use nc_bench::arg;
+use nc_bench::Args;
 use nc_sched::rng::{salts, trial_seed};
 use nc_theory::fit_log2;
 
@@ -35,13 +35,15 @@ struct Cell {
 }
 
 fn main() {
-    let max_n: usize = arg("max-n", 64);
-    let trials: u64 = arg("trials", 40);
-    let cap: u64 = arg("cap", 200_000);
-    let beam: usize = arg("beam", 4);
-    let refine: u64 = arg("refine", 3);
-    let seed: u64 = arg("seed", 0);
-    let out: String = arg("out", "BENCH_adversary.json".to_string());
+    let mut args = Args::from_env();
+    let max_n: usize = args.value("max-n", 64);
+    let trials: u64 = args.value("trials", 40);
+    let cap: u64 = args.value("cap", 200_000);
+    let beam: usize = args.value("beam", 4);
+    let refine: u64 = args.value("refine", 3);
+    let seed: u64 = args.value("seed", 0);
+    let out: String = args.value("out", "BENCH_adversary.json".to_string());
+    args.finish();
 
     let family = StrategyFamily::standard();
     let mut cells: Vec<Cell> = Vec::new();

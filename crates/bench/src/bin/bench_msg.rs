@@ -17,7 +17,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use nc_bench::arg;
+use nc_bench::Args;
 use nc_msg::{run_message_passing, MsgConfig, NetFaultSpec, Outcome};
 use nc_sched::Noise;
 
@@ -70,9 +70,11 @@ fn bench_cell(n: usize, trials: u64, loss: f64) -> Cell {
 }
 
 fn main() {
-    let trials: u64 = arg("trials", 200);
-    let n: usize = arg("n", 5);
-    let out: String = arg("out", "BENCH_msg.json".to_string());
+    let mut args = Args::from_env();
+    let trials: u64 = args.value("trials", 200);
+    let n: usize = args.value("n", 5);
+    let out: String = args.value("out", "BENCH_msg.json".to_string());
+    args.finish();
 
     let cells: Vec<Cell> = [0.0, 0.01, 0.05]
         .iter()

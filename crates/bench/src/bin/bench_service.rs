@@ -25,7 +25,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use nc_bench::arg;
+use nc_bench::Args;
 use nc_service::{drive_open_loop, LoadSpec, NcService, Retention, ServiceConfig};
 
 const REPEATS: usize = 3;
@@ -120,10 +120,12 @@ fn bench_cell(instances: u64, procs: usize, shards: usize, seed: u64) -> Cell {
 }
 
 fn main() {
-    let instances: u64 = arg("instances", 2000);
-    let procs: usize = arg("procs", 5);
-    let seed: u64 = arg("seed", 0);
-    let out: String = arg("out", "BENCH_service.json".to_string());
+    let mut args = Args::from_env();
+    let instances: u64 = args.value("instances", 2000);
+    let procs: usize = args.value("procs", 5);
+    let seed: u64 = args.value("seed", 0);
+    let out: String = args.value("out", "BENCH_service.json".to_string());
+    args.finish();
 
     let cells: Vec<Cell> = [1usize, 2, 4]
         .iter()

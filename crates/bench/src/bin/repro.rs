@@ -40,16 +40,39 @@ use nc_bench::scenario::{
     by_id, catalogue_markdown, manifest_json, timings_json, Preset, RunCtx, RunRecord, Scenario,
     REGISTRY, SMOKE_SEED,
 };
-use nc_bench::{arg, flag};
+use nc_bench::Args;
 
 fn main() -> ExitCode {
+    let mut args = Args::from_env();
     // Worker count for every scenario's sweeps (0 = all cores). This is
     // per-sweep state plumbed through `Scenario::run`, not a
     // process-global knob; it never affects any result.
-    let threads: usize = arg("threads", 0);
+    let threads: usize = args.value("threads", 0);
+    let list = args.flag("list");
+    let markdown = args.flag("markdown");
+    let smoke = args.flag("smoke");
+    let scale: u64 = args.value("scale", 1);
+    let seed: u64 = args.value("seed", SMOKE_SEED);
+    let out_dir = args.value::<String>("out-dir", "results".into());
+    let check_dir = args.value::<String>("check", String::new());
+    // Scratch root for journal-exercising scenarios. Deliberately NOT
+    // part of the --check refusal below: the journal location is
+    // out-of-band state that must never change a CSV, so checking the
+    // goldens with an explicit --journal-dir is a meaningful CI leg.
+    let ctx = RunCtx {
+        journal_dir: match args.value::<String>("journal-dir", String::new()) {
+            dir if dir.is_empty() => None,
+            dir => Some(dir.into()),
+        },
+    };
+    // Per-run preset overrides (0 = keep the selected tier's value).
+    let trials_override: u64 = args.value("trials", 0);
+    let size_override: usize = args.value("size", 0);
+    let only = args.value::<String>("only", String::new());
+    args.finish();
 
-    if flag("list") {
-        if flag("markdown") {
+    if list {
+        if markdown {
             print!("{}", catalogue_markdown());
         } else {
             println!("{:<4} {:<62} {:<28} OUTPUTS", "ID", "TITLE", "ARTIFACT");
@@ -72,24 +95,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let smoke = flag("smoke");
-    let scale: u64 = arg("scale", 1);
-    let seed: u64 = arg("seed", SMOKE_SEED);
-    let out_dir = arg::<String>("out-dir", "results".into());
-    let check_dir = arg::<String>("check", String::new());
-    // Scratch root for journal-exercising scenarios. Deliberately NOT
-    // part of the --check refusal below: the journal location is
-    // out-of-band state that must never change a CSV, so checking the
-    // goldens with an explicit --journal-dir is a meaningful CI leg.
-    let ctx = RunCtx {
-        journal_dir: match arg::<String>("journal-dir", String::new()) {
-            dir if dir.is_empty() => None,
-            dir => Some(dir.into()),
-        },
-    };
-    // Per-run preset overrides (0 = keep the selected tier's value).
-    let trials_override: u64 = arg("trials", 0);
-    let size_override: usize = arg("size", 0);
     // The committed goldens pin the unmodified smoke tier at the
     // default seed and scale; comparing any other configuration against
     // them is guaranteed spurious drift, so refuse up front instead of
@@ -110,7 +115,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let selected: Vec<&'static dyn Scenario> = match arg::<String>("only", String::new()) {
+    let selected: Vec<&'static dyn Scenario> = match only {
         ids if ids.is_empty() => REGISTRY.to_vec(),
         ids => {
             let mut picked = Vec::new();

@@ -108,39 +108,113 @@ pub fn trials_for(n: usize, base: u64) -> u64 {
     (budget / (n as u64 * 40).max(1)).max(30).min(base.max(1))
 }
 
-/// Returns whether a bare `--key` flag (no value) was passed.
-pub fn flag(key: &str) -> bool {
-    let want = format!("--{key}");
-    std::env::args().any(|a| a == want)
+/// A binary's command line, read in one place.
+///
+/// Every word that starts with `--` is an option name; a word that does
+/// not is the value of the option right before it. So `--out --smoke`
+/// is an `--out` with its value missing plus a `--smoke` flag, whatever
+/// order the binary reads them in. [`Args::value`] and [`Args::flag`]
+/// record each word they read, and [`Args::finish`] exits with status 2
+/// on the first word nothing read — an unknown or repeated option, or a
+/// stray word — so a mistyped or removed option never runs silently
+/// with the defaults.
+#[derive(Debug)]
+pub struct Args {
+    words: Vec<String>,
+    used: Vec<bool>,
+    keys: Vec<String>,
 }
 
-/// Parses the value of the first `--key value` pair in `args`:
-/// `Ok(None)` when `--key` is absent, and an error naming the flag when
-/// its value is missing or does not parse as `T`.
-fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, String> {
-    let want = format!("--{key}");
-    let Some(i) = args.iter().position(|a| *a == want) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{want}: cannot parse {v:?}")),
-        None => Err(format!("{want}: missing value")),
+impl Args {
+    /// The process's command line, without the program name.
+    pub fn from_env() -> Self {
+        Self::new(std::env::args().skip(1).collect())
     }
-}
 
-/// The value of `--key value` on the command line, or `default` when
-/// the flag is absent. A present flag whose value is missing or does not
-/// parse prints the flag and exits with status 2 instead of silently
-/// running with the default.
-pub fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_arg(&args, key) {
-        Ok(v) => v.unwrap_or(default),
-        Err(msg) => {
-            eprintln!("error: {msg}");
+    fn new(words: Vec<String>) -> Self {
+        let used = vec![false; words.len()];
+        Args {
+            words,
+            used,
+            keys: Vec::new(),
+        }
+    }
+
+    fn position(&mut self, key: &str) -> Option<usize> {
+        let want = format!("--{key}");
+        let i = self.words.iter().position(|w| *w == want);
+        if !self.keys.contains(&want) {
+            self.keys.push(want);
+        }
+        i
+    }
+
+    /// Whether the bare `--key` switch was passed.
+    pub fn flag(&mut self, key: &str) -> bool {
+        let Some(i) = self.position(key) else {
+            return false;
+        };
+        self.used[i] = true;
+        true
+    }
+
+    /// Parses the value of the first `--key value` pair: `Ok(None)` when
+    /// `--key` is absent, and an error naming the option when its value
+    /// is missing or does not parse as `T`.
+    fn try_value<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, String> {
+        let Some(i) = self.position(key) else {
+            return Ok(None);
+        };
+        self.used[i] = true;
+        match self.words.get(i + 1).filter(|v| !v.starts_with("--")) {
+            Some(v) => {
+                self.used[i + 1] = true;
+                v.parse()
+                    .map(Some)
+                    .map_err(|_| format!("--{key}: cannot parse {v:?}"))
+            }
+            None => Err(format!("--{key}: missing value")),
+        }
+    }
+
+    /// The value of `--key value`, or `default` when the option is
+    /// absent. A present option whose value is missing or does not parse
+    /// prints the option and exits with status 2 instead of silently
+    /// running with the default.
+    pub fn value<T: std::str::FromStr>(&mut self, key: &str, default: T) -> T {
+        match self.try_value(key) {
+            Ok(v) => v.unwrap_or(default),
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// The first word that no [`Args::value`] or [`Args::flag`] call
+    /// read, if any.
+    fn unread(&self) -> Option<&str> {
+        self.words
+            .iter()
+            .zip(&self.used)
+            .find(|(_, &used)| !used)
+            .map(|(w, _)| w.as_str())
+    }
+
+    /// Ends argument reading: a word that nothing read prints its name
+    /// and the accepted options, and exits with status 2. Call it after
+    /// the last `value`/`flag` read.
+    pub fn finish(self) {
+        if let Some(bad) = self.unread() {
+            let what = if self.keys.iter().any(|k| k == bad) {
+                "repeated"
+            } else {
+                "unexpected"
+            };
+            eprintln!(
+                "error: {what} argument {bad:?} (accepted: {})",
+                self.keys.join(", ")
+            );
             std::process::exit(2);
         }
     }
@@ -172,29 +246,61 @@ mod tests {
         assert_eq!(trials_for(100, 0), 1);
     }
 
-    #[test]
-    fn arg_returns_default_without_flag() {
-        assert_eq!(arg("definitely-not-passed", 42u64), 42);
+    fn args(v: &[&str]) -> Args {
+        Args::new(v.iter().map(|s| s.to_string()).collect())
     }
 
     #[test]
-    fn parse_arg_reads_values_and_rejects_bad_ones() {
-        let args: Vec<String> = ["bin", "--threads", "4", "--min-speedup", "1,2", "--out"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_arg::<usize>(&args, "threads"), Ok(Some(4)));
-        assert_eq!(parse_arg::<usize>(&args, "trials"), Ok(None));
+    fn args_read_values_and_reject_bad_ones() {
+        let mut a = args(&["--threads", "4", "--min-speedup", "1,2", "--out"]);
+        assert_eq!(a.try_value::<usize>("threads"), Ok(Some(4)));
+        assert_eq!(a.try_value::<usize>("trials"), Ok(None));
         assert_eq!(
-            parse_arg::<f64>(&args, "min-speedup"),
+            a.try_value::<f64>("min-speedup"),
             Err("--min-speedup: cannot parse \"1,2\"".to_string())
         );
+        // A value of the wrong type is an error, not the default.
+        assert!(a.try_value::<u64>("min-speedup").is_err());
         assert_eq!(
-            parse_arg::<String>(&args, "out"),
+            a.try_value::<String>("out"),
             Err("--out: missing value".to_string())
         );
-        // A value of the wrong type is an error, not the default.
-        assert!(parse_arg::<u64>(&args, "min-speedup").is_err());
+        assert_eq!(args(&[]).value("trials", 42u64), 42);
+    }
+
+    #[test]
+    fn args_name_the_first_unread_word() {
+        // Reads the options of a binary taking `--trials n`, `--out path`
+        // and `--smoke`, in either order, and returns the unread word.
+        let check = |v: &[&str], flag_first: bool| {
+            let mut a = args(v);
+            let smoke = flag_first && a.flag("smoke");
+            let _ = a.try_value::<u64>("trials");
+            let _ = a.try_value::<String>("out");
+            let smoke = smoke || a.flag("smoke");
+            (smoke, a.unread().map(str::to_string))
+        };
+        for flag_first in [true, false] {
+            let c = |v: &[&str]| check(v, flag_first);
+            assert_eq!(c(&[]), (false, None));
+            assert_eq!(c(&["--smoke", "--trials", "4", "--out", "x"]), (true, None));
+            // A word starting with `--` is an option, never a value, so
+            // `--out --smoke` sets the flag whichever is read first.
+            assert_eq!(c(&["--out", "--smoke"]), (true, None));
+            assert_eq!(
+                c(&["--smoke", "--lanes", "4"]),
+                (true, Some("--lanes".to_string()))
+            );
+            // A bare flag takes no value, so the word after it is unread.
+            assert_eq!(c(&["--smoke", "4"]), (true, Some("4".to_string())));
+            assert_eq!(c(&["-smoke"]), (false, Some("-smoke".to_string())));
+            assert_eq!(c(&["--"]), (false, Some("--".to_string())));
+            // A repeated option is read once; the repeat is unread.
+            assert_eq!(
+                c(&["--trials", "4", "--trials", "5"]),
+                (false, Some("--trials".to_string()))
+            );
+        }
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //! driver (kept verbatim in [`crate::baseline`] and pinned equal by the
 //! equivalence tests):
 //!
-//! 1. **Swappable event queue behind a size heuristic** — the common
-//!    case pops one event and pushes exactly one successor for the same
-//!    process (the "hold" operation). The loops are generic over
+//! 1. **Branch-free winner-tree event queue** — the common case pops
+//!    one event and pushes exactly one successor for the same process
+//!    (the "hold" operation). The loops are generic over
 //!    [`nc_sched::SimQueue`]; [`nc_sched::QueuePolicy::Auto`] picks the
-//!    4-ary tournament-select heap ([`nc_sched::EventQueue`]) below
-//!    [`nc_sched::select::TREE_MIN_N`] processes and the branchless
-//!    pid-indexed tournament tree ([`nc_sched::EventTree`]) above it.
-//!    The event order is total, so the choice cannot change results.
+//!    pid-indexed binary winner tree ([`nc_sched::EventTree`]) at every
+//!    `n`, whose hold is one leaf write and one compare-and-select per
+//!    level of a fixed path. The 4-ary heap ([`nc_sched::EventQueue`])
+//!    stays as the forced `Heap` oracle. The event order is total, so the
+//!    choice cannot change results.
 //! 2. **Struct-of-arrays process state (`ProcSoA`)** — the per-event
 //!    scalars (event-time accumulator, operation index, noise-buffer
 //!    cursor, halt/decide flags) are packed into one 32-byte `Hot`
@@ -263,8 +264,8 @@ impl ProcSoA {
 /// re-seeded from the trial's own seed.
 ///
 /// The queue implementation is chosen per run by the scratch's
-/// [`QueuePolicy`] (default [`QueuePolicy::Auto`]: heap at small `n`,
-/// branchless tree at large `n`); force one with
+/// [`QueuePolicy`] (default [`QueuePolicy::Auto`]: the winner tree at
+/// every `n`); force one with
 /// [`EngineScratch::with_queue`] for differential tests and ablations
 /// (the builder exposes this as [`crate::sim::Sim::queue_policy`]).
 /// The choice never affects results.
@@ -419,8 +420,8 @@ struct LoopOut {
     outcome: Option<RunOutcome>,
 }
 
-/// Primes the queue with each process's first operation; returns the
-/// last used sequence number.
+/// Primes the queue with each process's first operation, in one bulk
+/// insert; returns the last used sequence number.
 fn prime<M: MemStore, P: Protocol<M>, Q: SimQueue>(
     soa: &mut ProcSoA,
     queue: &mut Q,
@@ -429,21 +430,24 @@ fn prime<M: MemStore, P: Protocol<M>, Q: SimQueue>(
     batch: Option<&Noise>,
 ) -> u64 {
     let mut seq = 0u64;
-    for pid in 0..inst.procs.len() {
+    queue.insert_all((0..inst.procs.len()).filter_map(|pid| {
         let Status::Pending(op) = inst.procs[pid].status() else {
-            continue;
+            return None;
         };
         soa.pending[pid] = op;
         match draw_increment(soa, pid, timing, batch, op.kind()) {
-            None => soa.hot[pid].halted = true, // H_i1 = ∞: the op never occurs
+            None => {
+                soa.hot[pid].halted = true; // H_i1 = ∞: the op never occurs
+                None
+            }
             Some(inc) => {
                 let h = &mut soa.hot[pid];
                 h.clock += inc;
                 seq += 1;
-                queue.insert(QueuedEvent::new(h.clock, seq, pid as u32));
+                Some(QueuedEvent::new(h.clock, seq, pid as u32))
             }
         }
-    }
+    }));
     seq
 }
 
@@ -1025,12 +1029,19 @@ mod tests {
 
     #[test]
     fn queue_choice_does_not_change_reports() {
-        // Heap, tree, and auto must produce the identical report for
-        // identical trials (the event order is total).
-        for (n, seed) in [(1usize, 1u64), (7, 2), (40, 3), (129, 4)] {
+        // The heap and auto (the tree) must produce the identical report
+        // for identical trials (the event order is total).
+        for (n, seed) in [
+            (1usize, 1u64),
+            (7, 2),
+            (40, 3),
+            (129, 4),
+            (1000, 5),
+            (10_000, 6),
+        ] {
             let inputs = setup::half_and_half(n);
             let mut reports = Vec::new();
-            for policy in [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto] {
+            for policy in [QueuePolicy::Heap, QueuePolicy::Auto] {
                 let mut scratch = EngineScratch::with_queue(policy);
                 let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
                 reports.push(run_noisy_scratch(
@@ -1041,8 +1052,7 @@ mod tests {
                     Limits::run_to_completion(),
                 ));
             }
-            assert_eq!(reports[0], reports[1], "heap vs tree, n={n}");
-            assert_eq!(reports[0], reports[2], "heap vs auto, n={n}");
+            assert_eq!(reports[0], reports[1], "heap vs auto, n={n}");
         }
     }
 
@@ -1051,7 +1061,7 @@ mod tests {
         let inputs = setup::half_and_half(12);
         let mut scratch = EngineScratch::new();
         let mut reference = None;
-        for policy in [QueuePolicy::Tree, QueuePolicy::Heap, QueuePolicy::Auto] {
+        for policy in [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::Auto] {
             scratch.set_queue_policy(policy);
             assert_eq!(scratch.queue_policy(), policy);
             let mut inst = setup::build(Algorithm::Lean, &inputs, 11);
@@ -1119,8 +1129,8 @@ mod tests {
     /// The optimized engine must be **bit-for-bit identical** to the
     /// naive BinaryHeap baseline: same streams consumed in the same
     /// per-process order, same (unique) event order, so same reports.
-    /// (The full scenario-matrix differential suite, including both
-    /// forced queues, lives in `tests/soa_equivalence.rs`.)
+    /// (The full scenario-matrix differential suite, on both queues,
+    /// lives in `tests/soa_equivalence.rs`.)
     mod baseline_equivalence {
         use super::*;
         use crate::baseline::{run_noisy_baseline, run_noisy_with_baseline};

@@ -318,8 +318,8 @@ impl<M: MemStore> Sim<M> {
     }
 
     /// Forces an event-queue policy (defaults to [`QueuePolicy::Auto`]:
-    /// heap at small `n`, branchless tree at large `n`). The choice
-    /// never affects results.
+    /// the branch-free winner tree at every `n`). The choice never
+    /// affects results.
     pub fn queue_policy(mut self, queue: QueuePolicy) -> Self {
         self.queue = queue;
         self

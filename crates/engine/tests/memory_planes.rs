@@ -19,7 +19,7 @@ use nc_sched::adversary::{LeaderKiller, RandomInterleave, RoundRobin};
 use nc_sched::hybrid::{HybridSpec, WritePreemptor};
 use nc_sched::{stream_rng, FailureModel, Noise, TimingModel};
 
-const QUEUES: [QueuePolicy; 3] = [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto];
+const QUEUES: [QueuePolicy; 2] = [QueuePolicy::Heap, QueuePolicy::Auto];
 
 fn algorithms() -> [Algorithm; 5] {
     [

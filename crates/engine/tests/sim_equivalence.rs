@@ -25,7 +25,7 @@ use nc_sched::adversary::{
 use nc_sched::hybrid::{BenignHybrid, HybridSpec, RandomHybrid, WritePreemptor};
 use nc_sched::{stream_rng, FailureModel, Noise, TimingModel};
 
-const QUEUES: [QueuePolicy; 3] = [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto];
+const QUEUES: [QueuePolicy; 2] = [QueuePolicy::Heap, QueuePolicy::Auto];
 
 fn algorithms() -> [Algorithm; 5] {
     [

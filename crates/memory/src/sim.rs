@@ -64,9 +64,9 @@ impl SimMemory {
     /// reuse one memory without reallocating.
     ///
     /// Zeroing happens **in place** (`fill(0)` over the used storage,
-    /// keeping `len`): measured ~2x faster across a trial sweep than
-    /// the old clear-then-regrow-geometrically scheme, because the next
-    /// trial's writes never re-enter the grow branch (see
+    /// keeping `len`), so the next trial's writes never re-enter the
+    /// grow branch of the old clear-then-regrow-geometrically scheme; the
+    /// two measure within 10% of each other on a reset+write replay (see
     /// `BENCH_engine.json`'s `reset_fill_vs_clear` record). This is the
     /// [`MemStore::reset`] contract; a consequence is that
     /// [`SimMemory::footprint_words`] persists across resets as a

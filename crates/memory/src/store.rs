@@ -41,8 +41,8 @@ use crate::types::{Addr, Op, Word};
 ///   counter cleared, fault injection (if any) disarmed — while keeping
 ///   backing allocations for reuse. The shipped implementations do this
 ///   by `fill(0)`-ing the used storage **in place** (keeping the
-///   vector's length), which measures ~2x faster than the
-///   clear-then-regrow alternative on trial-sweep workloads (see
+///   vector's length), which measures within 10% of the
+///   clear-then-regrow alternative on a reset+write replay (see
 ///   `BENCH_engine.json`'s `reset_fill_vs_clear` record); consequently
 ///   [`MemStore::footprint_words`] is a high-water mark that persists
 ///   across resets.

@@ -1,92 +1,65 @@
 //! Runtime event-queue selection: one trait over the crate's queue
-//! implementations plus a size heuristic choosing between them.
+//! implementations plus the policy choosing between them.
 //!
 //! The engine's queue traffic is almost entirely the *hold* pattern —
 //! pop the earliest event, push one successor for the same process —
 //! over a totally ordered key space ([`Event::key_cmp`] never returns
 //! `Equal` for distinct queued events). Totality means the pop sequence
 //! of any correct priority queue is **uniquely determined**, so queue
-//! choice is purely a performance knob: swapping implementations cannot
-//! change simulation results (pinned by the differential equivalence
-//! suites in `nc-engine`).
+//! choice is purely a performance matter: swapping implementations
+//! cannot change simulation results (pinned by the differential
+//! equivalence suites in `nc-engine`).
 //!
-//! Two implementations compete:
+//! Two implementations exist:
 //!
-//! * [`EventQueue`] — the 4-ary tournament-select heap. Hold cost is one
-//!   root-to-leaf Floyd walk: `O(log₄ len)` levels, one cache line per
-//!   level. Wins at small and medium `n`, where the whole heap stays in
-//!   L1/L2.
-//! * [`EventTree`] — the branchless pid-indexed tournament tree. Hold
-//!   cost is a fixed `O(log₁₆ n)` reduction with **no data-dependent
-//!   branches at all**, so it shrugs off the mispredicts that grow with
-//!   heap depth. It overtakes the heap once the heap walk gets deep and
-//!   its line-per-level misses stop hiding (measured crossover on the
-//!   reference VM: between n = 1000 and n = 10000 on the isolated hold
-//!   benchmark; [`TREE_MIN_N`] holds the conservative production cut).
+//! * [`EventTree`] — the branch-free binary winner tree over pid-indexed
+//!   leaves. A hold re-keys one leaf and walks its fixed `log₂ n` path,
+//!   one compare and select per level. It is the engine's queue at every
+//!   `n`: on a 2-core x86-64 host it beat the heap end to end at
+//!   n = 100 and at n = 10,000, so there is no size cut.
+//! * [`EventQueue`] — the 4-ary tournament-select heap, kept as the
+//!   forced [`QueuePolicy::Heap`] oracle and ablation column.
 //!
-//! [`QueuePolicy`] is the engine-facing knob: `Auto` applies the
-//! heuristic per run, `Heap`/`Tree` force an implementation (used by the
-//! differential tests, benchmarks, and anyone who has measured their own
-//! crossover).
+//! [`QueuePolicy`] is the engine-facing choice: `Auto` resolves to the
+//! tree, `Heap` forces the heap (used by the differential tests and the
+//! benchmark ablations).
 
 use crate::queue::{Event, EventQueue};
 use crate::tree::EventTree;
 
-/// Smallest process count at which [`QueuePolicy::Auto`] picks the
-/// branchless [`EventTree`] over the 4-ary heap.
-///
-/// Set from the `event_queue` hold benchmark on the reference VM: the
-/// tree's fixed `log₁₆ n` branchless reduction beats the heap's
-/// `log₄ n` line-per-level walk once the heap no longer fits hot cache.
-/// Re-confirmed end to end through the engine's event loop: the tree
-/// loses at n = 2048, roughly ties at 4096, and wins at 8192. Re-tune
-/// on new hardware by running `cargo bench -p nc-bench --bench
-/// event_queue`.
-pub const TREE_MIN_N: usize = 4096;
-
 /// Which queue implementation a simulation run should use.
 ///
-/// The default (`Auto`) applies the [`TREE_MIN_N`] size heuristic per
-/// run; the forced variants exist for differential tests and perf
-/// ablations. Any choice produces bit-identical simulation results —
-/// see the module docs.
+/// The default (`Auto`) is the tree at every size; the forced `Heap`
+/// exists for differential tests and perf ablations. Either choice
+/// produces bit-identical simulation results — see the module docs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum QueuePolicy {
-    /// Pick per run by process count: heap below [`TREE_MIN_N`], tree at
-    /// or above it.
+    /// The engine's default: the branch-free [`EventTree`] at every `n`.
     #[default]
     Auto,
     /// Always the 4-ary tournament-select heap ([`EventQueue`]).
     Heap,
-    /// Always the branchless tournament tree ([`EventTree`]).
-    Tree,
 }
 
-/// A concrete queue implementation choice, after [`QueuePolicy`]'s
-/// heuristic has been applied to a run's process count.
+/// A concrete queue implementation choice, after [`QueuePolicy`] has
+/// been resolved for a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueueKind {
     /// The 4-ary tournament-select heap.
     Heap,
-    /// The branchless pid-indexed tournament tree.
+    /// The branch-free pid-indexed winner tree.
     Tree,
 }
 
 impl QueuePolicy {
-    /// Resolves the policy for a run with `n` processes: `Auto` cuts
-    /// over to the tree at [`TREE_MIN_N`].
+    /// Resolves the policy for a run with `n` processes: `Auto` is the
+    /// tree at every `n`. No policy depends on `n` any more; callers
+    /// still resolve per run, so the parameter stays.
     #[inline]
-    pub fn kind_for(self, n: usize) -> QueueKind {
+    pub fn kind_for(self, _n: usize) -> QueueKind {
         match self {
-            QueuePolicy::Auto => {
-                if n >= TREE_MIN_N {
-                    QueueKind::Tree
-                } else {
-                    QueueKind::Heap
-                }
-            }
+            QueuePolicy::Auto => QueueKind::Tree,
             QueuePolicy::Heap => QueueKind::Heap,
-            QueuePolicy::Tree => QueueKind::Tree,
         }
     }
 }
@@ -111,8 +84,17 @@ pub trait SimQueue {
     /// allocations for reuse across trials.
     fn prepare(&mut self, n: usize);
 
-    /// Inserts a new event (used when priming a run).
+    /// Inserts a new event.
     fn insert(&mut self, ev: Event);
+
+    /// Inserts a run's initial events, at most one per pid — priming a
+    /// run. The default inserts them one by one; a queue with a cheaper
+    /// bulk build overrides it.
+    fn insert_all<I: IntoIterator<Item = Event>>(&mut self, events: I) {
+        for ev in events {
+            self.insert(ev);
+        }
+    }
 
     /// The earliest event, if any.
     fn first(&self) -> Option<Event>;
@@ -163,6 +145,12 @@ impl SimQueue for EventTree {
         self.set(ev);
     }
 
+    /// Writes every leaf, then fills the internal nodes in one
+    /// bottom-up pass instead of walking one root path per event.
+    fn insert_all<I: IntoIterator<Item = Event>>(&mut self, events: I) {
+        self.set_all(events);
+    }
+
     #[inline]
     fn first(&self) -> Option<Event> {
         self.peek()
@@ -175,10 +163,9 @@ impl SimQueue for EventTree {
 
     #[inline]
     fn reschedule_first(&mut self, ev: Event) {
-        // The hold event carries the top's pid, so `set` reschedules the
-        // popped slot in place — one leaf write + reduction, no separate
-        // remove.
-        self.set(ev);
+        // The hold event carries the top's pid, so its leaf is occupied:
+        // re-key it in place, with no occupancy check or separate remove.
+        self.replace_first(ev);
     }
 }
 
@@ -187,18 +174,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_policy_switches_at_the_threshold() {
-        assert_eq!(QueuePolicy::Auto.kind_for(1), QueueKind::Heap);
-        assert_eq!(QueuePolicy::Auto.kind_for(TREE_MIN_N - 1), QueueKind::Heap);
-        assert_eq!(QueuePolicy::Auto.kind_for(TREE_MIN_N), QueueKind::Tree);
-        assert_eq!(QueuePolicy::Auto.kind_for(usize::MAX), QueueKind::Tree);
+    fn auto_policy_resolves_to_tree_at_every_n() {
+        for n in [0, 1, 2, 100, 4095, 4096, 10_000, usize::MAX] {
+            assert_eq!(QueuePolicy::Auto.kind_for(n), QueueKind::Tree, "n = {n}");
+        }
     }
 
     #[test]
-    fn forced_policies_ignore_n() {
-        for n in [0, 1, TREE_MIN_N, 10 * TREE_MIN_N] {
+    fn forced_heap_ignores_n() {
+        for n in [0, 1, 4096, 40_960] {
             assert_eq!(QueuePolicy::Heap.kind_for(n), QueueKind::Heap);
-            assert_eq!(QueuePolicy::Tree.kind_for(n), QueueKind::Tree);
         }
     }
 

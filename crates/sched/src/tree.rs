@@ -1,52 +1,75 @@
-//! A branchless **tournament tree** over per-process event slots — an
-//! alternative event queue kept for benchmarking and future hardware.
+//! The engine's event queue: a branch-free **binary winner tree** over
+//! per-process event slots.
 //!
-//! Motivation: comparison-based queues spend much of the simulation hot
-//! loop in **branch mispredicts** — every comparison on random event
-//! times is a coin-flip branch. This structure removes data-dependent
-//! branches entirely:
+//! The engine holds at most one event per process and almost every queue
+//! operation is the *hold*: the earliest process re-keys its own next
+//! event. That fixes the shape of the structure:
 //!
-//! * An [`Event`] is already a 16-byte integer
-//!   sort key `(mapped time, seq, pid)` — and its **low 24 bits are the
-//!   pid**. So `min` over the `u128` keys is simultaneously the
-//!   earliest event *and* its owner: no index bookkeeping at all.
-//! * The engine holds at most one event per process, so the tree's
-//!   leaves are a **fixed pid-indexed array** (`u128::MAX` = no event).
-//! * Internal nodes store the min of a 16-slot block. Updating a leaf
-//!   recomputes one balanced 16-wide `min` reduction per level — pure
-//!   `cmp`+`select` chains the compiler lowers without a single
-//!   data-dependent branch. Peek reads the root.
+//! * Leaves are a **pid-indexed array**: pid `p`'s event lives at node
+//!   `n + p` of a `2n`-node array (node 0 unused). Internal node `i` holds
+//!   the smaller of nodes `2i` and `2i + 1`, so node 1 is the earliest
+//!   event. For `n = 1` the single leaf is node 1 itself.
+//! * A node is an [`Event`]'s two key words, `[time_key, seq_pid]`. The
+//!   low 24 bits of `seq_pid` are the pid, so the root is at once the
+//!   earliest event and its owner: no index bookkeeping.
+//! * A re-key writes the pid's leaf and walks that pid's **fixed path** to
+//!   the root: at node `i` the sibling is `i ^ 1` and the parent `i / 2`.
+//!   Every address on the path is known before the walk starts, so the
+//!   sibling loads issue ahead of the compares, and each level is one
+//!   compare and one select on values already in registers. The 4-ary
+//!   heap ([`crate::queue::EventQueue`]) instead walks a data-dependent
+//!   path (which child is smallest decides the next address) and then
+//!   sifts up.
 //!
-//! **Measured outcome** (see `nc-bench`'s `event_queue` bench and
-//! `BENCH_engine.json`): on the current reference machine the zero-
-//! mispredict property does not pay for the `u128::min` dependency
-//! chains — each select is a multi-µop `cmp`/`sbb`/`cmov` sequence with
-//! ~4-6 cycle latency, serialized along the reduction — and the 4-ary
-//! tournament-select heap ([`crate::queue::EventQueue`]) wins, so the
-//! engine uses the heap. The tree is kept (fully tested, differentially
-//! pinned to the heap) because the trade flips on wider cores or with
-//! SIMD `min`, and as the measurement record for that decision.
+//! **Codegen.** The select must compile to `cmov`, or a random event
+//! order mispredicts about half the levels and the tree runs about 2×
+//! slower than the heap. LLVM lowers a `u128` `min`, a mask-arithmetic
+//! select and a plain `if` on the key pair to data-dependent branches
+//! (an isolated hold loop at n = 100 read 58–83 ns/hold for those three
+//! spellings, 35–45 ns for the heap and 27–35 ns for this one).
+//! The spelling that compiles to `cmov` is the three-compare
+//! `lt = (st < vt) | ((st == vt) & (ss < vs))` on the two `u64` halves,
+//! with [`std::hint::select_unpredictable`] on each half (`min2`).
 //!
-//! Determinism: `min` over total integer keys is exact — the pop
-//! sequence is identical to every other queue in this crate (pinned by
-//! differential property tests).
+//! **Measured outcome** (`docs/engine-internals.md`, "Queue selection"):
+//! on a 2-core x86-64 host this tree beat the 4-ary heap end to end,
+//! ×1.16 `events_per_s` at n = 100 (10/10 alternating perfbench pairs)
+//! and ×1.17 at n = 10,000 (5/5), with the traced queue layer down from
+//! 34–35 to 27–29 ns/event at n = 100. So
+//! [`crate::select::QueuePolicy::Auto`] picks it at every size, and the
+//! heap stays as the forced oracle and ablation.
+//!
+//! Determinism: the min over total integer keys is exact, so the pop
+//! sequence is identical to the heap's (pinned by differential property
+//! tests here and by the engine's equivalence suites).
+
+use std::hint::select_unpredictable;
 
 use crate::queue::Event;
 
-/// Fan-out of the reduction tree (power of two). Sixteen 16-byte keys
-/// span four cache lines and reduce in fifteen `min` ops arranged as a
-/// depth-4 balanced tree — wider fan-out halves the number of levels
-/// (and their serial store-to-load dependencies) at the same total
-/// comparison count.
-const ARITY: usize = 16;
-const ARITY_LOG2: u32 = ARITY.trailing_zeros();
+/// One tree node: an [`Event`]'s `[time_key, seq_pid]` key words,
+/// compared lexicographically.
+type Node = [u64; 2];
 
 /// Sentinel key for "no event in this slot". Real events cannot collide
 /// with it: their time keys come from finite `f64`s, which never map to
 /// all-ones.
-const EMPTY: u128 = u128::MAX;
+const EMPTY: Node = [u64::MAX, u64::MAX];
 
-/// A fixed-capacity tournament tree of at most one event per process.
+/// The smaller of two nodes, without a data-dependent branch: three
+/// `u64` compares feed one flag, and [`select_unpredictable`] turns each
+/// half's pick into a `cmov` (see the module docs for the spellings that
+/// compiled to branches instead).
+#[inline(always)]
+fn min2(a: Node, b: Node) -> Node {
+    let lt = (a[0] < b[0]) | ((a[0] == b[0]) & (a[1] < b[1]));
+    [
+        select_unpredictable(lt, a[0], b[0]),
+        select_unpredictable(lt, a[1], b[1]),
+    ]
+}
+
+/// A fixed-capacity binary winner tree of at most one event per process.
 ///
 /// [`EventTree::reset`] sizes it for pids `0..n`; [`EventTree::set`]
 /// inserts or reschedules a process's event, [`EventTree::remove`]
@@ -69,28 +92,13 @@ const EMPTY: u128 = u128::MAX;
 /// ```
 #[derive(Debug, Default)]
 pub struct EventTree {
-    /// `levels[0]` = pid-indexed leaf keys (padded with [`EMPTY`] to a
-    /// multiple of [`ARITY`]); each higher level holds the 8-block mins
-    /// of the one below; the last level is a single root.
-    levels: Vec<Vec<u128>>,
+    /// `nodes[leaves + pid]` is pid's leaf; `nodes[i]` for
+    /// `1 <= i < leaves` is `min(nodes[2i], nodes[2i + 1])`; `nodes[0]`
+    /// is unused.
+    nodes: Vec<Node>,
+    /// Number of leaves: the `n` of the last reset, at least 1.
+    leaves: usize,
     len: usize,
-}
-
-/// Balanced 16-wide `min` reduction of one block: latency depth 4 (vs 15
-/// for a running min), every `min` a branchless compare+select.
-#[inline(always)]
-fn block_min(b: &[u128]) -> u128 {
-    let m01 = b[0].min(b[1]);
-    let m23 = b[2].min(b[3]);
-    let m45 = b[4].min(b[5]);
-    let m67 = b[6].min(b[7]);
-    let m89 = b[8].min(b[9]);
-    let mab = b[10].min(b[11]);
-    let mcd = b[12].min(b[13]);
-    let mef = b[14].min(b[15]);
-    m01.min(m23)
-        .min(m45.min(m67))
-        .min(m89.min(mab).min(mcd.min(mef)))
 }
 
 impl EventTree {
@@ -100,27 +108,11 @@ impl EventTree {
     }
 
     /// Clears the tree and sizes it for pids `0..n`, reusing existing
-    /// storage when the capacity matches.
+    /// storage.
     pub fn reset(&mut self, n: usize) {
-        let mut width = n.max(1).next_multiple_of(ARITY);
-        let mut depth = 0;
-        loop {
-            if self.levels.len() == depth {
-                self.levels.push(Vec::new());
-            }
-            let level = &mut self.levels[depth];
-            level.clear();
-            level.resize(width, EMPTY);
-            depth += 1;
-            if width == 1 {
-                break;
-            }
-            width = (width / ARITY).max(1);
-            if width > 1 {
-                width = width.next_multiple_of(ARITY);
-            }
-        }
-        self.levels.truncate(depth);
+        self.leaves = n.max(1);
+        self.nodes.clear();
+        self.nodes.resize(2 * self.leaves, EMPTY);
         self.len = 0;
     }
 
@@ -139,38 +131,50 @@ impl EventTree {
     /// The earliest event, if any — a single root read.
     #[inline]
     pub fn peek(&self) -> Option<Event> {
-        let root = self.levels[self.levels.len() - 1][0];
-        if root == EMPTY {
+        let [time_key, seq_pid] = self.nodes[1];
+        if [time_key, seq_pid] == EMPTY {
             None
         } else {
-            Some(Event {
-                time_key: (root >> 64) as u64,
-                seq_pid: root as u64,
-            })
+            Some(Event { time_key, seq_pid })
         }
     }
 
     /// Inserts or reschedules the event of `ev.pid()` — the engine's
-    /// branchless hold operation: one leaf write plus one 8-wide `min`
-    /// reduction per level.
+    /// hold operation: one leaf write plus one compare and select per
+    /// level of the pid's path.
     #[inline]
     pub fn set(&mut self, ev: Event) {
-        let pid = ev.pid() as usize;
-        debug_assert!(pid < self.levels[0].len(), "pid {pid} out of range");
-        if self.levels[0][pid] == EMPTY {
+        let leaf = self.leaf(ev.pid());
+        if self.nodes[leaf] == EMPTY {
             self.len += 1;
         }
-        self.update(pid, ev.key());
+        self.rekey(leaf, [ev.time_key, ev.seq_pid]);
+    }
+
+    /// Inserts or reschedules every event of `events` (at most one per
+    /// pid), then rebuilds the internal nodes in one bottom-up pass: `n`
+    /// compares in all, where one [`EventTree::set`] per event walks
+    /// `n` root paths.
+    pub(crate) fn set_all<I: IntoIterator<Item = Event>>(&mut self, events: I) {
+        for ev in events {
+            let leaf = self.leaf(ev.pid());
+            if self.nodes[leaf] == EMPTY {
+                self.len += 1;
+            }
+            self.nodes[leaf] = [ev.time_key, ev.seq_pid];
+        }
+        for i in (1..self.leaves).rev() {
+            self.nodes[i] = min2(self.nodes[2 * i], self.nodes[2 * i + 1]);
+        }
     }
 
     /// Removes the event of `pid`, if present.
     #[inline]
     pub fn remove(&mut self, pid: u32) {
-        let pid = pid as usize;
-        debug_assert!(pid < self.levels[0].len(), "pid {pid} out of range");
-        if self.levels[0][pid] != EMPTY {
+        let leaf = self.leaf(pid);
+        if self.nodes[leaf] != EMPTY {
             self.len -= 1;
-            self.update(pid, EMPTY);
+            self.rekey(leaf, EMPTY);
         }
     }
 
@@ -179,24 +183,39 @@ impl EventTree {
     pub fn pop(&mut self) -> Option<Event> {
         let top = self.peek()?;
         self.len -= 1;
-        self.update(top.pid() as usize, EMPTY);
+        self.rekey(self.leaf(top.pid()), EMPTY);
         Some(top)
     }
 
-    /// Writes `key` at leaf `idx` and recomputes the block min on every
-    /// level above. The fixed-width reduction is the whole point: eight
-    /// loads and seven `u128::min`s per level, no data-dependent
-    /// branches anywhere.
+    /// Replaces the earliest event with `ev`, which must carry the same
+    /// pid — the hold operation without [`EventTree::set`]'s occupancy
+    /// check.
     #[inline]
-    fn update(&mut self, mut idx: usize, key: u128) {
-        self.levels[0][idx] = key;
-        for l in 0..self.levels.len() - 1 {
-            let (lo, hi) = self.levels.split_at_mut(l + 1);
-            let level = &lo[l];
-            let block = idx & !(ARITY - 1);
-            let m = block_min(&level[block..block + ARITY]);
-            idx >>= ARITY_LOG2;
-            hi[0][idx] = m;
+    pub(crate) fn replace_first(&mut self, ev: Event) {
+        debug_assert_eq!(self.peek().map(|e| e.pid()), Some(ev.pid()));
+        self.rekey(self.leaf(ev.pid()), [ev.time_key, ev.seq_pid]);
+    }
+
+    /// The node index of `pid`'s leaf.
+    #[inline]
+    fn leaf(&self, pid: u32) -> usize {
+        let pid = pid as usize;
+        debug_assert!(pid < self.leaves, "pid {pid} out of range");
+        self.leaves + pid
+    }
+
+    /// Writes `key` at node `i` and walks its path to the root, carrying
+    /// the running minimum in registers: each level loads the sibling
+    /// `i ^ 1` (an address fixed by `i` alone), takes one [`min2`], and
+    /// stores the parent.
+    #[inline]
+    fn rekey(&mut self, mut i: usize, key: Node) {
+        let mut v = key;
+        self.nodes[i] = v;
+        while i > 1 {
+            v = min2(v, self.nodes[i ^ 1]);
+            i >>= 1;
+            self.nodes[i] = v;
         }
     }
 }
@@ -281,10 +300,15 @@ mod tests {
         }
     }
 
+    /// Power-of-two sizes and their neighbours: every leaf depth mix a
+    /// `2n`-node layout can have.
+    const SIZES: [usize; 17] = [
+        1, 2, 3, 5, 7, 8, 9, 63, 64, 65, 100, 511, 512, 513, 4095, 4096, 4097,
+    ];
+
     #[test]
     fn large_n_boundaries() {
-        // Exercise multi-level trees around padding boundaries.
-        for n in [7usize, 8, 9, 63, 64, 65, 511, 512, 513, 4097] {
+        for n in SIZES {
             let mut q = EventTree::new();
             q.reset(n);
             for pid in (0..n as u32).rev() {
@@ -292,6 +316,68 @@ mod tests {
             }
             let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.pid()).collect();
             assert_eq!(popped, (0..n as u32).collect::<Vec<_>>(), "n = {n}");
+        }
+    }
+
+    /// Deterministic hold traffic against the heap at every size in
+    /// [`SIZES`], with a pop every seventh step so leaves empty out too.
+    #[test]
+    fn hold_traffic_matches_heap_at_every_size() {
+        use crate::queue::EventQueue;
+        for n in SIZES {
+            let mut tree = EventTree::new();
+            tree.reset(n);
+            let mut heap = EventQueue::new();
+            let mut seq = 0u64;
+            for pid in 0..n as u32 {
+                let e = Event::new((pid as f64 * 0.618).fract(), seq, pid);
+                seq += 1;
+                tree.set(e);
+                heap.push(e);
+            }
+            for i in 0..4 * n {
+                let top = *heap.peek().unwrap();
+                assert_eq!(tree.peek(), Some(top), "n = {n}, step {i}");
+                heap.pop();
+                if i % 7 == 6 {
+                    tree.pop();
+                } else {
+                    let e = Event::new(top.time() + (i as f64 * 0.377).fract(), seq, top.pid());
+                    seq += 1;
+                    tree.replace_first(e);
+                    heap.push(e);
+                }
+                if heap.is_empty() {
+                    break;
+                }
+            }
+            assert_eq!(tree.len(), heap.len(), "n = {n}");
+            let heap_rest: Vec<Event> = std::iter::from_fn(|| heap.pop()).collect();
+            let tree_rest: Vec<Event> = std::iter::from_fn(|| tree.pop()).collect();
+            assert_eq!(heap_rest, tree_rest, "n = {n}");
+        }
+    }
+
+    /// Bulk priming builds exactly the tree that one `set` per event
+    /// builds, node for node, including pids left without an event.
+    #[test]
+    fn bulk_priming_equals_one_by_one_inserts() {
+        for n in SIZES {
+            let events: Vec<Event> = (0..n as u32)
+                .filter(|pid| pid % 5 != 3)
+                .map(|pid| Event::new((pid as f64 * 0.618).fract(), pid as u64 + 1, pid))
+                .collect();
+            let mut bulk = EventTree::new();
+            bulk.reset(n);
+            bulk.set_all(events.iter().copied());
+            let mut single = EventTree::new();
+            single.reset(n);
+            for &e in &events {
+                single.set(e);
+            }
+            assert_eq!(bulk.nodes, single.nodes, "n = {n}");
+            assert_eq!(bulk.len(), events.len(), "n = {n}");
+            assert_eq!(bulk.len(), single.len(), "n = {n}");
         }
     }
 
